@@ -16,7 +16,9 @@
 #      batch compile, and that the compile server is race-free under an
 #      8-client gca-load mix — with the HTTP admin plane scraped
 #      continuously from a background thread for the whole run — followed
-#      by a SIGTERM drain.
+#      by a SIGTERM drain; and that the in-process server tests (their
+#      socketpair harness, connection teardown and the admin plane) are
+#      race-free.
 # Usage: scripts/check.sh [extra cmake args...]
 set -euo pipefail
 
@@ -140,5 +142,13 @@ python3 scripts/validate_exposition.py "$SRVDIR/exposition.txt"
 python3 -c "import json,sys; \
   assert sum(1 for l in open(sys.argv[1]) if json.loads(l)) >= 64" \
   "$SRVDIR/req.log"
+
+echo "== thread sanitizer run (in-process server and admin-plane tests) =="
+# The socketpair harness connects from several client threads at once and
+# joins connection threads on disconnect; the admin-plane tests render
+# metrics right after a teardown. Any race in that harness or in the
+# server's connection teardown fails here.
+cmake --build build-tsan -j "$JOBS" --target gca_tests
+build-tsan/tests/gca_tests --gtest_filter='ServerTest.*:AdminPlaneTest.*'
 
 echo "== all checks passed =="

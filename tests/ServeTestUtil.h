@@ -20,6 +20,7 @@
 #include "support/Frame.h"
 #include "support/Json.h"
 
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,38 +32,70 @@
 namespace gca {
 namespace servetest {
 
-/// An in-process CompileServer serving socketpair connections.
+/// An in-process CompileServer serving socketpair connections. connect()
+/// and disconnect() may be called from any number of client threads at once.
 class TestServer {
 public:
   explicit TestServer(ServerConfig Config) : Server(std::move(Config)) {}
 
   ~TestServer() {
     Server.requestDrain();
-    for (std::thread &T : Threads)
-      T.join();
+    for (Pump &P : Pumps)
+      if (P.Thread.joinable())
+        P.Thread.join();
     Server.wait();
   }
 
-  /// Opens a new client connection; returns the client-side fd (the caller
-  /// closes it). The server end is pumped by a dedicated thread, exactly
-  /// like a connection accepted off the listening socket; it closes its fd
-  /// when the connection ends, so clients observe a real EOF.
+  /// Opens a new client connection; returns the client-side fd, which the
+  /// caller closes — with disconnect() when it needs the server to have
+  /// finished with the connection. The server end is pumped by a dedicated
+  /// thread, exactly like a connection accepted off the listening socket; it
+  /// closes its fd when the connection ends, so clients observe a real EOF.
   int connect() {
     int SV[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, SV) != 0)
       return -1;
-    Threads.emplace_back([this, Fd = SV[0]] {
-      Server.serveConnection(Fd, Fd);
-      ::close(Fd);
-    });
+    std::lock_guard<std::mutex> Lock(Mu);
+    Pumps.push_back({SV[1], std::thread([this, Fd = SV[0]] {
+                       Server.serveConnection(Fd, Fd);
+                       ::close(Fd);
+                     })});
     return SV[1];
+  }
+
+  /// Closes client fd \p Fd (returned by connect()) and joins the thread
+  /// serving it. On return the server has torn the connection down, so its
+  /// accounting (connections-active, say) no longer counts it; a bare
+  /// ::close() only delivers EOF and returns before that happens.
+  void disconnect(int Fd) {
+    std::thread Served;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      // Looked up while Fd is still open: the newest connection holding the
+      // number owns it; older entries are connections closed with ::close()
+      // whose fd number has since been reused.
+      for (auto It = Pumps.rbegin(); It != Pumps.rend(); ++It)
+        if (It->ClientFd == Fd && It->Thread.joinable()) {
+          Served = std::move(It->Thread);
+          break;
+        }
+    }
+    ::close(Fd);
+    if (Served.joinable())
+      Served.join();
   }
 
   CompileServer &server() { return Server; }
 
 private:
+  struct Pump {
+    int ClientFd;
+    std::thread Thread;
+  };
+
   CompileServer Server;
-  std::vector<std::thread> Threads;
+  std::mutex Mu; ///< Guards Pumps.
+  std::vector<Pump> Pumps;
 };
 
 /// Reads one response frame and parses it. Null on any failure.
